@@ -12,7 +12,6 @@ use std::rc::Rc;
 
 use serde::Serialize;
 use xrdma_core::XrdmaContext;
-use xrdma_fabric::Fabric;
 use xrdma_sim::stats::{SeriesKind, TimeSeries};
 use xrdma_sim::{Dur, World};
 
@@ -50,7 +49,6 @@ struct Tracked {
 /// The monitor: attach contexts, run the world, read the series.
 pub struct Monitor {
     world: Rc<World>,
-    fabric: Option<Rc<Fabric>>,
     period: Dur,
     tracked: RefCell<Vec<Tracked>>,
     samples: RefCell<Vec<Sample>>,
@@ -63,7 +61,6 @@ impl Monitor {
     pub fn new(world: Rc<World>, period: Dur) -> Rc<Monitor> {
         Rc::new(Monitor {
             world,
-            fabric: None,
             period,
             tracked: RefCell::new(Vec::new()),
             samples: RefCell::new(Vec::new()),
@@ -185,25 +182,8 @@ impl Monitor {
         self.tracked.borrow()[i].tx_series.rows()
     }
 
-    pub fn rx_rows(&self, i: usize) -> Vec<(f64, f64)> {
-        self.tracked.borrow()[i].rx_series.rows()
-    }
-
-    pub fn qp_rows(&self, i: usize) -> Vec<(f64, f64)> {
-        self.tracked.borrow()[i].qp_series.rows()
-    }
-
-    pub fn memcache_rows(&self, i: usize) -> (Vec<(f64, f64)>, Vec<(f64, f64)>) {
-        let t = self.tracked.borrow();
-        (t[i].occ_series.rows(), t[i].inuse_series.rows())
-    }
-
     /// JSON export of all samples (the production monitor's feed).
     pub fn to_json(&self) -> String {
         serde_json::to_string(&*self.samples.borrow()).expect("samples serialize")
-    }
-
-    pub fn set_fabric(&mut self, fabric: Rc<Fabric>) {
-        self.fabric = Some(fabric);
     }
 }

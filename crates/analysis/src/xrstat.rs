@@ -132,20 +132,6 @@ pub fn fabric_health(fabric: &Rc<Fabric>) -> String {
     )
 }
 
-/// Per-port PFC pause table (§VI-B "PFC status"): which links were paused
-/// and how often — the fabric tracks this internally; this surfaces it.
-pub fn pfc_pause_table(fabric: &Rc<Fabric>) -> String {
-    let per_port = fabric.stats().per_port_pauses();
-    if per_port.is_empty() {
-        return String::from("PFC-PAUSES: none\n");
-    }
-    let mut out = String::from("PORT          PFC-XOFF\n");
-    for (port, n) in per_port {
-        out.push_str(&format!("{port:<13} {n}\n"));
-    }
-    out
-}
-
 /// Summarize telemetry-hub events per kind — the quick "what happened on
 /// this box" view xr-stat prints when a hub captured the run.
 pub fn event_summary(events: &[xrdma_telemetry::Event]) -> String {

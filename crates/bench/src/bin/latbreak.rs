@@ -18,7 +18,6 @@
 //!
 //! Requires `--features telemetry` (the span layer compiles to nothing
 //! without it); prints a note and exits cleanly otherwise.
-//! `XRDMA_LATBREAK_SMOKE=1` shrinks the sweep for CI.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -29,10 +28,6 @@ use xrdma_core::{XrdmaChannel, XrdmaConfig};
 use xrdma_fabric::FabricConfig;
 use xrdma_sim::Dur;
 use xrdma_telemetry::{HubConfig, StageStat, TelemetryHub};
-
-fn smoke() -> bool {
-    std::env::var("XRDMA_LATBREAK_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// Breakdown rows measured at one `(size, depth)` sweep point.
 struct Point {
@@ -93,12 +88,9 @@ fn main() {
         );
         return;
     }
-    let smoke = smoke();
-    let (sizes, depths, span): (&[u64], &[u32], Dur) = if smoke {
-        (&[64, 16384], &[4], Dur::millis(5))
-    } else {
-        (&[64, 1024, 16384, 131072], &[1, 8], Dur::millis(25))
-    };
+    let sizes = [64u64, 1024, 16384, 131072];
+    let depths = [1u32, 8];
+    let span = Dur::millis(25);
 
     let mut rep = Report::new(
         "latbreak",
@@ -115,8 +107,8 @@ fn main() {
     };
 
     println!("SIZE     DEPTH  OPS     E2E-P50(ns)  E2E-P99(ns)  STAGE-SUM(ns)  E2E-SUM(ns)");
-    for &depth in depths {
-        for &size in sizes {
+    for depth in depths {
+        for size in sizes {
             let pt = run_point(size, depth, span, 42);
             let bd = &pt.breakdown;
             let e2e = bd.last().expect("breakdown has the e2e row");

@@ -16,9 +16,6 @@
 //! Acceptance at the largest fan-out (64 connections): ≥1.3× message rate
 //! *or* ≤0.7× cycles/msg, batched over serial. The differential test in
 //! `tests/batching.rs` guarantees the two legs do identical work.
-//!
-//! `XRDMA_MSGRATE_SMOKE=1` shrinks the sweep to {1, 4} connections and
-//! drops the speedup gate (tiny runs are dominated by setup).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -31,10 +28,6 @@ use xrdma_sim::Dur;
 
 const MSG_BYTES: u64 = 64;
 const DEPTH: u32 = 8;
-
-fn smoke() -> bool {
-    std::env::var("XRDMA_MSGRATE_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// One measured leg.
 struct Leg {
@@ -101,12 +94,8 @@ fn run(cfg: &XrdmaConfig, conns: u32, span: Dur, seed: u64) -> Leg {
 }
 
 fn main() {
-    let smoke = smoke();
-    let (sweep, span): (&[u32], Dur) = if smoke {
-        (&[1, 4], Dur::millis(5))
-    } else {
-        (&[1, 4, 16, 64], Dur::millis(40))
-    };
+    let sweep = [1u32, 4, 16, 64];
+    let span = Dur::millis(40);
 
     let batched_cfg = XrdmaConfig::default();
     let serial_cfg = XrdmaConfig {
@@ -125,7 +114,7 @@ fn main() {
     let mut cyc_off = Vec::new();
     let mut last = None;
     println!("CONNS  MODE     MSGS      RATE(msg/s)   CYCLES/MSG(ns)");
-    for &conns in sweep {
+    for conns in sweep {
         let on = run(&batched_cfg, conns, span, 42);
         let off = run(&serial_cfg, conns, span, 42);
         for (mode, leg) in [("batched", &on), ("serial", &off)] {
@@ -148,7 +137,7 @@ fn main() {
         &format!("message-rate gain at {conns} conns (batched / serial)"),
         ">=1.3x (or cycles/msg <=0.7x)",
         format!("{rate_gain:.2}x rate, {cyc_ratio:.2}x cycles/msg"),
-        smoke || rate_gain >= 1.3 || cyc_ratio <= 0.7,
+        rate_gain >= 1.3 || cyc_ratio <= 0.7,
     );
     rep.row(
         &format!("cycles/msg at {conns} conns (batched vs serial)"),
@@ -157,7 +146,7 @@ fn main() {
             "{:.0} vs {:.0} ns/msg",
             on.cycles_per_msg, off.cycles_per_msg
         ),
-        smoke || on.cycles_per_msg < off.cycles_per_msg,
+        on.cycles_per_msg < off.cycles_per_msg,
     );
     rep.series("msgrate_batched", rate_on);
     rep.series("msgrate_serial", rate_off);

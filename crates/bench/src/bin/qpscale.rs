@@ -27,12 +27,9 @@
 //! moment their frames queue), while the per-channel layout replays one
 //! management-plane handshake per connection.
 //!
-//! Acceptance (full scale): ≥5× message rate muxed vs per-channel at the
-//! 100 K point, mux miss rate pinned near zero past the cliff, receive
-//! memory per connection ≤¼ of per-channel, and a faster restart ramp.
-//!
-//! `XRDMA_QPSCALE_SMOKE=1` shrinks the sweep to {256, 1024} logical
-//! connections and drops the ratio gates (tiny runs sit below the cliff).
+//! Acceptance: ≥5× message rate muxed vs per-channel at the 100 K point,
+//! mux miss rate pinned near zero past the cliff, receive memory per
+//! connection ≤¼ of per-channel, and a faster restart ramp.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -65,10 +62,6 @@ const LANES: u64 = 8;
 /// the `SERVERS × LANES` pool slots sees traffic.
 fn peer_of(i: usize) -> NodeId {
     NodeId(1 + ((i as u32 / LANES as u32) % SERVERS))
-}
-
-fn smoke() -> bool {
-    std::env::var("XRDMA_QPSCALE_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// PCIe-RTT-scale QP-context fetch: a cold context forces the dependent
@@ -376,13 +369,8 @@ fn sample_ramp(net: &Net, n: usize, live: impl Fn() -> usize) -> Ramp {
 }
 
 fn main() {
-    let smoke = smoke();
-    let counts: &[usize] = if smoke {
-        &[256, 1024]
-    } else {
-        &[1_000, 4_000, 16_000, 50_000, 100_000]
-    };
-    let ramp_n = if smoke { 256 } else { 16_000 };
+    let counts = [1_000usize, 4_000, 16_000, 50_000, 100_000];
+    let ramp_n = 16_000;
 
     let mut rep = Report::new(
         "qpscale",
@@ -399,7 +387,7 @@ fn main() {
         "{:>8}  {:>12}  {:>12}  {:>7}  {:>7}  {:>9}  {:>9}",
         "LOGICAL", "MUX(msg/s)", "PERCH(msg/s)", "MISS-M", "MISS-P", "B/CONN-M", "B/CONN-P"
     );
-    for &n in counts {
+    for n in counts {
         let m = run_muxed(n, 7);
         let p = run_per_channel(n, 7);
         println!(
@@ -429,7 +417,7 @@ fn main() {
             "{speedup:.1}x ({:.0} vs {:.0} msg/s)",
             m_top.rate, p_top.rate
         ),
-        smoke || speedup >= 5.0,
+        speedup >= 5.0,
     );
     rep.row(
         &format!("QP-cache miss rate at {n_top} conns"),
@@ -441,7 +429,7 @@ fn main() {
         ),
         // Per-channel asymptote is 50% from below (one cold fetch + one
         // warm touch per RPC), so gate on "thrashing", not on >1/2.
-        smoke || (m_top.miss_rate < 0.05 && p_top.miss_rate > 0.4),
+        m_top.miss_rate < 0.05 && p_top.miss_rate > 0.4,
     );
     rep.row(
         &format!("receive memory per connection at {n_top} conns"),
@@ -450,7 +438,7 @@ fn main() {
             "{:.0} vs {:.0} bytes/conn",
             m_top.mem_per_conn, p_top.mem_per_conn
         ),
-        smoke || m_top.mem_per_conn <= p_top.mem_per_conn / 4.0,
+        m_top.mem_per_conn <= p_top.mem_per_conn / 4.0,
     );
 
     let rm = ramp_muxed(ramp_n, 11);
@@ -466,7 +454,7 @@ fn main() {
             "{:.0} ms muxed vs {:.0} ms per-channel",
             rm.done_ms, rp.done_ms
         ),
-        smoke || rm.done_ms < rp.done_ms,
+        rm.done_ms < rp.done_ms,
     );
 
     rep.series("msgrate_muxed", rate_mux);

@@ -23,6 +23,13 @@ use crate::proto::{Header, LargeDesc, MsgKind, MuxDesc, TraceHdr};
 use crate::seqack::{RxAccept, RxWindow, TxWindow};
 use crate::stats::ChannelStats;
 
+/// Largest message body `send_msg` accepts; bigger sends fail with
+/// [`XrdmaError::TooLarge`].
+pub const MAX_MSG_SIZE: u64 = 64 * 1024 * 1024;
+/// Extra host CPU cost per side when a message carries a tracing header
+/// (req-rsp mode).
+const CPU_TRACE: Dur = Dur::nanos(100);
+
 // wr_id tag layout: tag in the top byte, payload bits below.
 pub(crate) const TAG_SHIFT: u64 = 56;
 pub(crate) const TAG_EAGER: u64 = 1;
@@ -345,7 +352,7 @@ impl XrdmaChannel {
         // maximum message size so an "everything eager" configuration
         // cannot demand absurd slots.
         let cfg = ctx.config();
-        cfg.small_msg_size.min(cfg.max_msg_size) + 64
+        cfg.small_msg_size.min(MAX_MSG_SIZE) + 64
     }
 
     /// Register the inbound request/one-way handler.
@@ -363,14 +370,6 @@ impl XrdmaChannel {
     /// Per-connection statistics (the XR-Stat row).
     pub fn stats(&self) -> ChannelStats {
         *self.stats.borrow()
-    }
-
-    /// This connection's QP-context cache accounting `(hits, misses)`,
-    /// charged per send/receive touch by the RNIC engine. The per-send
-    /// view of whether this QP is resident in RNIC SRAM or being crowded
-    /// out (the signal behind the mux pool bound).
-    pub fn qp_ctx_cache(&self) -> (u64, u64) {
-        (self.qp.ctx_cache_hits.get(), self.qp.ctx_cache_misses.get())
     }
 
     /// CQE batch sizes this channel's QP contributed per `poll_cq` drain
@@ -548,17 +547,10 @@ impl XrdmaChannel {
         mux: Option<MuxDesc>,
     ) -> Result<(), XrdmaError> {
         if self.closed.get() {
-            if std::env::var_os("XRDMA_DEBUG").is_some() {
-                eprintln!(
-                    "[debug] qp{} send {:?} on closed channel",
-                    self.qp.qpn.0, kind
-                );
-            }
             return Err(XrdmaError::ChannelClosed);
         }
         let ctx = self.ctx()?;
-        let cfg_max = ctx.config().max_msg_size;
-        if body.len() > cfg_max {
+        if body.len() > MAX_MSG_SIZE {
             return Err(XrdmaError::TooLarge(body.len()));
         }
         if ctx.flow_saturated() {
@@ -569,7 +561,7 @@ impl XrdmaChannel {
         // CPU cost of the send call (§VII-A overhead calibration).
         let mut cpu = ctx.config().cpu_send;
         if trace.is_some() {
-            cpu += ctx.config().cpu_trace;
+            cpu += CPU_TRACE;
         }
         ctx.thread().charge(cpu);
 
@@ -1104,7 +1096,7 @@ impl XrdmaChannel {
     fn deliver_one(self: &Rc<Self>, ctx: &Rc<XrdmaContext>, msg: InMsg) {
         let mut cpu = ctx.config().cpu_recv;
         if msg.hdr.trace.is_some() {
-            cpu += ctx.config().cpu_trace;
+            cpu += CPU_TRACE;
         }
         ctx.thread().charge(cpu);
 
@@ -1149,21 +1141,10 @@ impl XrdmaChannel {
                 let cb = self.on_request.borrow();
                 if let Some(cb) = cb.as_ref() {
                     cb(self, app_msg, token);
-                } else if std::env::var_os("XRDMA_DEBUG").is_some() {
-                    eprintln!(
-                        "[debug] qp{} peer={} kind={:?} rpc={} dropped: no on_request handler",
-                        self.qp.qpn.0, self.peer, hdr.kind, hdr.rpc_id
-                    );
                 }
             }
             MsgKind::Response => {
                 let waiter = self.rpc_waiters.borrow_mut().remove(&hdr.rpc_id);
-                if waiter.is_none() && std::env::var_os("XRDMA_DEBUG").is_some() {
-                    eprintln!(
-                        "[debug] qp{} peer={} response rpc={} len={} has no waiter",
-                        self.qp.qpn.0, self.peer, hdr.rpc_id, hdr.body_len
-                    );
-                }
                 if let Some(w) = waiter {
                     {
                         let mut st = self.stats.borrow_mut();

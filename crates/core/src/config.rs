@@ -29,7 +29,7 @@ pub enum PollMode {
     /// Event (epoll) mode: every wake-up pays the block/unblock cost.
     Event,
     /// NAPI-style hybrid: epoll first, then stay in busy polling while
-    /// traffic keeps arriving within `hybrid_window`.
+    /// traffic keeps arriving within a 100 µs window.
     Hybrid,
     /// Adaptive engine: busy-poll the shared CQ while completions keep
     /// arriving, fall back to event-driven wakeup after `poll_spin_limit`
@@ -135,10 +135,6 @@ pub struct XrdmaConfig {
     pub nop_timeout: Dur,
     pub msg_mode: MsgMode,
     pub poll_mode: PollMode,
-    /// Busy-poll window for hybrid mode.
-    pub hybrid_window: Dur,
-    /// Wake-up latency paid in Event mode (or Hybrid outside the window).
-    pub wakeup_latency: Dur,
     /// Maximum CQEs drained per `poll_cq` call (the batch size of the
     /// shared-CQ fast path).
     pub cq_poll_batch: usize,
@@ -149,16 +145,10 @@ pub struct XrdmaConfig {
     /// Adaptive engine: consecutive empty polls before busy polling gives
     /// up and falls back to event-driven wakeup.
     pub poll_spin_limit: u32,
-    /// Adaptive engine: simulated gap between consecutive busy polls
-    /// (models the spin loop's cycle cost; must be nonzero or an idle
-    /// busy-poller would spin at one instant forever).
-    pub poll_spin_gap: Dur,
     pub flowctl: FlowCtlConfig,
     pub memcache: MemCacheConfig,
     /// QP cache capacity (0 disables recycling).
     pub qp_cache: usize,
-    /// Maximum message size accepted by `send_msg`.
-    pub max_msg_size: u64,
 
     // -------------------------- connection mux ------------------------
     /// Maximum live physical QP slots a `ChannelMux` holds before LRU
@@ -175,14 +165,6 @@ pub struct XrdmaConfig {
     pub cpu_send: Dur,
     /// Host CPU cost charged per delivered message.
     pub cpu_recv: Dur,
-    /// Extra cost per side when tracing headers are on (req-rsp mode).
-    pub cpu_trace: Dur,
-    /// Host CPU cost of one doorbell ring (MMIO write + WQE flush). Paid
-    /// once per postlist when coalescing, once per WR otherwise.
-    pub cpu_doorbell: Dur,
-    /// Host CPU cost of one `poll_cq` call, independent of how many CQEs
-    /// it drains — the per-call overhead batching amortizes.
-    pub cpu_poll: Dur,
 }
 
 impl Default for XrdmaConfig {
@@ -204,16 +186,12 @@ impl Default for XrdmaConfig {
             nop_timeout: Dur::millis(20),
             msg_mode: MsgMode::BareData,
             poll_mode: PollMode::Hybrid,
-            hybrid_window: Dur::micros(100),
-            wakeup_latency: Dur::micros(2),
             cq_poll_batch: 64,
             doorbell_coalesce: true,
             poll_spin_limit: 4,
-            poll_spin_gap: Dur::nanos(200),
             flowctl: FlowCtlConfig::default(),
             memcache: MemCacheConfig::default(),
             qp_cache: 64,
-            max_msg_size: 64 * 1024 * 1024,
             // Pool well under the modeled QP-context SRAM (1024 entries)
             // so a mux-backed node never thrashes it; 2 lanes per peer
             // keeps fan-in bounded at the default scale.
@@ -223,12 +201,6 @@ impl Default for XrdmaConfig {
             // above the raw-verbs reference loop (the ≤10 % of §VII-A).
             cpu_send: Dur::nanos(1570),
             cpu_recv: Dur::nanos(1570),
-            cpu_trace: Dur::nanos(100),
-            // Doorbell ≈ one MMIO write + WQE build; poll_cq ≈ one CQ
-            // cacheline sweep. Both are per-call, which is exactly what
-            // coalescing and batching amortize.
-            cpu_doorbell: Dur::nanos(800),
-            cpu_poll: Dur::nanos(250),
         }
     }
 }

@@ -26,6 +26,24 @@ use crate::proto::Header;
 use crate::qpcache::QpCache;
 use crate::stats::ContextStats;
 
+/// Busy-poll window of [`PollMode::Hybrid`]: a pump requested within this
+/// long of the last traffic pays no wake-up.
+const HYBRID_WINDOW: Dur = Dur::micros(100);
+/// Wake-up latency paid in Event mode (or Hybrid outside the window, or a
+/// cold Adaptive engine).
+const WAKEUP_LATENCY: Dur = Dur::micros(2);
+/// Adaptive engine: simulated gap between consecutive busy polls (models
+/// the spin loop's cycle cost; must be nonzero or an idle busy-poller
+/// would spin at one instant forever).
+const POLL_SPIN_GAP: Dur = Dur::nanos(200);
+/// Host CPU cost of one doorbell ring (one MMIO write + WQE build). Paid
+/// once per postlist when coalescing, once per WR otherwise.
+const CPU_DOORBELL: Dur = Dur::nanos(800);
+/// Host CPU cost of one `poll_cq` call (one CQ cacheline sweep),
+/// independent of how many CQEs it drains — the per-call overhead
+/// batching amortizes.
+const CPU_POLL: Dur = Dur::nanos(250);
+
 /// Emulated event descriptor (Table I: `get_event_fd`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct XrdmaFd(pub u32);
@@ -381,7 +399,7 @@ impl XrdmaContext {
     pub fn polling(self: &Rc<Self>, max: usize) -> usize {
         // Per-call cost of poll_cq, independent of how many CQEs it
         // drains — the overhead CQ batching amortizes.
-        self.thread.charge(self.config().cpu_poll);
+        self.thread.charge(CPU_POLL);
         let mut buf = self.poll_buf.take();
         let n = self.cq.poll_cq(&mut buf, max);
         // Per-channel batch-size accounting (xr-stat's CQ-BATCH column).
@@ -808,7 +826,7 @@ impl XrdmaContext {
     /// Charge one doorbell ring carrying `wrs` WRs: CPU cost plus the
     /// coalescing-factor counters.
     pub(crate) fn charge_doorbell(&self, wrs: u64) {
-        self.thread.charge(self.config().cpu_doorbell);
+        self.thread.charge(CPU_DOORBELL);
         let mut st = self.stats.borrow_mut();
         st.doorbells_rung += 1;
         st.doorbell_wrs += wrs;
@@ -827,27 +845,24 @@ impl XrdmaContext {
         if self.pump_scheduled.replace(true) {
             return;
         }
-        let delay = {
-            let cfg = self.config();
-            match cfg.poll_mode {
-                PollMode::Busy => Dur::ZERO,
-                PollMode::Event => cfg.wakeup_latency,
-                PollMode::Hybrid => {
-                    let since = self.world.now().since(self.last_traffic.get());
-                    if since <= cfg.hybrid_window {
-                        Dur::ZERO
-                    } else {
-                        cfg.wakeup_latency
-                    }
+        let delay = match self.config().poll_mode {
+            PollMode::Busy => Dur::ZERO,
+            PollMode::Event => WAKEUP_LATENCY,
+            PollMode::Hybrid => {
+                let since = self.world.now().since(self.last_traffic.get());
+                if since <= HYBRID_WINDOW {
+                    Dur::ZERO
+                } else {
+                    WAKEUP_LATENCY
                 }
-                // Hot = already spinning on the CQ, no wake-up to pay;
-                // cold = armed notification, epoll wake-up cost applies.
-                PollMode::Adaptive => {
-                    if self.engine_hot.get() {
-                        Dur::ZERO
-                    } else {
-                        cfg.wakeup_latency
-                    }
+            }
+            // Hot = already spinning on the CQ, no wake-up to pay;
+            // cold = armed notification, epoll wake-up cost applies.
+            PollMode::Adaptive => {
+                if self.engine_hot.get() {
+                    Dur::ZERO
+                } else {
+                    WAKEUP_LATENCY
                 }
             }
         };
@@ -893,17 +908,14 @@ impl XrdmaContext {
     // ------------------------------------------------------------------
 
     fn adaptive_after_poll(self: &Rc<Self>, n: usize) {
-        let (limit, gap) = {
-            let cfg = self.config();
-            (cfg.poll_spin_limit, cfg.poll_spin_gap)
-        };
+        let limit = self.config().poll_spin_limit;
         if n > 0 {
             self.empty_streak.set(0);
             if !self.engine_hot.get() {
                 self.switch_mode(true);
             }
             if self.cq.is_empty() {
-                self.schedule_spin(gap);
+                self.schedule_spin();
             } else {
                 self.schedule_pump();
             }
@@ -914,7 +926,7 @@ impl XrdmaContext {
                 self.switch_mode(false);
                 self.cq.req_notify();
             } else {
-                self.schedule_spin(gap);
+                self.schedule_spin();
             }
         } else {
             // Cold and empty: stay event-driven, re-arm the notification.
@@ -922,17 +934,15 @@ impl XrdmaContext {
         }
     }
 
-    /// Busy-poll respin: re-run the pump after the spin-loop gap without
+    /// Busy-poll respin: re-run the pump after [`POLL_SPIN_GAP`] without
     /// arming the completion channel and without counting as a poll-gap
     /// request (an empty spin is not a completion waiting for service).
-    /// The gap must be nonzero: a zero-delay respin on an empty CQ would
-    /// pin the simulation at one instant forever.
-    fn schedule_spin(self: &Rc<Self>, gap: Dur) {
+    fn schedule_spin(self: &Rc<Self>) {
         if self.pump_scheduled.replace(true) {
             return;
         }
         let me = self.clone();
-        self.thread.exec(gap.max(Dur::nanos(1)), move |_| {
+        self.thread.exec(POLL_SPIN_GAP, move |_| {
             me.pump_scheduled.set(false);
             me.pump();
         });
@@ -1136,11 +1146,6 @@ impl XrdmaContext {
             None
         };
         st
-    }
-
-    /// Raw RPC latency histogram (benchmarks read percentiles off it).
-    pub fn rpc_latency_histogram(&self) -> Histogram {
-        self.rpc_latency.borrow().clone()
     }
 
     pub(crate) fn record_rpc_latency(&self, d: Dur) {

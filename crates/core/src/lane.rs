@@ -34,6 +34,7 @@
 use std::collections::VecDeque;
 
 use xrdma_fabric::lane::{HostNicLane, LanePkt, NicLaneConfig};
+use xrdma_rnic::dcqcn::ALPHA_TIMER;
 use xrdma_rnic::lane::{LaneBth, LaneBthKind, Pump, RnicLane, RnicLaneConfig};
 use xrdma_sim::shard::{Lane, ShardConfig, ShardWorld};
 use xrdma_sim::{Dur, Time};
@@ -604,13 +605,12 @@ fn retx_fire(l: &mut L, qpn: u32) {
 fn dcqcn_tick(l: &mut L, qpn: u32) {
     let now = l.now().nanos();
     let line = l.state.cfg.rnic.dcqcn.line_rate_gbps;
-    let period = l.state.cfg.rnic.dcqcn.alpha_timer;
     let qp = l.state.rnic.qp(qpn);
     qp.rp.on_timer(Time(now));
     if qp.rp.recovered(line) {
         qp.dcqcn_armed = false;
     } else {
-        l.schedule_in(period, move |l| dcqcn_tick(l, qpn));
+        l.schedule_in(ALPHA_TIMER, move |l| dcqcn_tick(l, qpn));
     }
     qp_pump(l, qpn);
 }
@@ -652,10 +652,9 @@ fn rnic_rx(l: &mut L, pkt: LanePkt<LaneBth<LaneMsg>>) {
     let Some(qpn) = s.rnic.validate(&pkt.body) else {
         return;
     };
-    let dcqcn = s.cfg.rnic.dcqcn;
     match pkt.body.kind {
         LaneBthKind::Data { psn, last, msg, .. } => {
-            let rx = s.rnic.qp(qpn).on_data(now, psn, last, msg, pkt.ecn, &dcqcn);
+            let rx = s.rnic.qp(qpn).on_data(now, psn, last, msg, pkt.ecn);
             if let Some(ack) = rx.ack {
                 send_bth(l, qpn, LaneBthKind::Ack { psn: ack });
             }
@@ -692,7 +691,7 @@ fn rnic_rx(l: &mut L, pkt: LanePkt<LaneBth<LaneMsg>>) {
             qp.on_cnp(now);
             if !qp.dcqcn_armed {
                 qp.dcqcn_armed = true;
-                l.schedule_in(dcqcn.alpha_timer, move |l| dcqcn_tick(l, qpn));
+                l.schedule_in(ALPHA_TIMER, move |l| dcqcn_tick(l, qpn));
             }
         }
     }

@@ -43,7 +43,7 @@ pub mod qpcache;
 pub mod seqack;
 pub mod stats;
 
-pub use channel::{XrdmaChannel, XrdmaMsg};
+pub use channel::{XrdmaChannel, XrdmaMsg, MAX_MSG_SIZE};
 pub use config::{FlowCtlConfig, MemCacheConfig, MsgMode, PollMode, XrdmaConfig};
 pub use context::{poll_gap_violates, slow_op_violates, XrdmaContext};
 pub use error::XrdmaError;

@@ -6,7 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use xrdma_core::{XrdmaChannel, XrdmaConfig, XrdmaContext, XrdmaError};
+use xrdma_core::{XrdmaChannel, XrdmaConfig, XrdmaContext, XrdmaError, MAX_MSG_SIZE};
 use xrdma_fabric::{Fabric, FabricConfig, NodeId};
 use xrdma_rnic::{CmConfig, ConnManager, RnicConfig};
 use xrdma_sim::{Dur, SimRng, World};
@@ -505,7 +505,7 @@ fn channel_edge_cases() {
     let server = ctx(&net, 1, XrdmaConfig::default());
     let (c, s) = connect_pair(&net, &client, &server, 7);
     // Oversized message refused up front.
-    let huge = client.config().max_msg_size + 1;
+    let huge = MAX_MSG_SIZE + 1;
     assert!(matches!(
         c.send_oneway_size(huge),
         Err(XrdmaError::TooLarge(_))

@@ -15,7 +15,7 @@ use xrdma_sim::{invariant, Dur, SimRng, World};
 use xrdma_telemetry::tele;
 
 use crate::config::{EcnConfig, PfcConfig};
-use crate::packet::{NodeId, Packet, NPRIO, PRIO_TCP};
+use crate::packet::{Packet, NPRIO, PRIO_TCP};
 use crate::port::Port;
 use crate::stats::FabricStats;
 use crate::topology::{NextHop, SwitchAddr, Topology};
@@ -260,23 +260,8 @@ impl Switch {
         });
     }
 
-    /// Current PFC ingress occupancy (tests / monitoring).
-    pub fn ingress_bytes(&self, ingress: usize, prio: u8) -> u64 {
-        self.ingress.borrow()[ingress][prio as usize].bytes
-    }
-
     /// Convenience: sum of all egress queue occupancy.
     pub fn buffered_bytes(&self) -> u64 {
         self.ports.borrow().iter().map(|p| p.total_queued()).sum()
-    }
-
-    /// Host this switch serves at down-port `i` (ToR only; diagnostics).
-    pub fn down_host(&self, i: usize) -> Option<NodeId> {
-        use crate::topology::Tier::*;
-        if self.addr.tier == Tor && i < self.n_down {
-            Some(NodeId(self.addr.idx * self.topo.hosts_per_tor + i as u32))
-        } else {
-            None
-        }
     }
 }

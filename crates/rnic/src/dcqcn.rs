@@ -7,7 +7,7 @@
 //!   in `xrdma-fabric`.
 //! * **NP (notification point)** — the receiving RNIC: on an ECN-marked
 //!   arrival it sends a CNP back to the sender, rate-limited to one CNP per
-//!   QP per `cnp_interval`.
+//!   QP per `CNP_INTERVAL`.
 //! * **RP (reaction point)** — the sending RNIC, implemented here: on a CNP
 //!   it cuts its rate multiplicatively (by `alpha/2`) and remembers the
 //!   current rate as the target; rate recovery then climbs back through
@@ -22,44 +22,37 @@ use serde::Serialize;
 use xrdma_sim::{invariant, Dur, Time};
 use xrdma_telemetry::tele;
 
-/// DCQCN tunables (reaction-point unless noted).
+/// Minimum rate the RP will cut to, in Gb/s.
+pub const MIN_RATE_GBPS: f64 = 0.1;
+/// `g`: gain for the alpha EWMA.
+const G: f64 = 1.0 / 16.0;
+/// Alpha-update timer (no-CNP decay interval); the RNIC's shared DCQCN
+/// tick runs at this period.
+pub const ALPHA_TIMER: Dur = Dur::micros(55);
+/// Rate-increase timer period.
+const INCREASE_TIMER: Dur = Dur::micros(300);
+/// Bytes per byte-counter increase stage.
+const BYTE_COUNTER: u64 = 10 * 1024 * 1024;
+/// Additive-increase step (Gb/s).
+const RAI_GBPS: f64 = 0.5;
+/// Hyper-increase step (Gb/s per stage).
+const RHAI_GBPS: f64 = 2.5;
+/// Stage threshold F separating fast recovery from AI/HI.
+const F_THRESHOLD: u32 = 5;
+/// NP: minimum spacing between CNPs for one QP.
+const CNP_INTERVAL: Dur = Dur::micros(50);
+
+/// DCQCN reaction-point configuration.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct DcqcnConfig {
     /// Line rate = initial rate = rate cap, in Gb/s.
     pub line_rate_gbps: f64,
-    /// Minimum rate the RP will cut to.
-    pub min_rate_gbps: f64,
-    /// `g`: gain for the alpha EWMA.
-    pub g: f64,
-    /// Alpha-update timer (no-CNP decay interval).
-    pub alpha_timer: Dur,
-    /// Rate-increase timer period.
-    pub increase_timer: Dur,
-    /// Bytes per byte-counter increase stage.
-    pub byte_counter: u64,
-    /// Additive-increase step (Gb/s).
-    pub rai_gbps: f64,
-    /// Hyper-increase step (Gb/s per stage).
-    pub rhai_gbps: f64,
-    /// Stage threshold F separating fast recovery from AI/HI.
-    pub f_threshold: u32,
-    /// NP: minimum spacing between CNPs for one QP.
-    pub cnp_interval: Dur,
 }
 
 impl Default for DcqcnConfig {
     fn default() -> Self {
         DcqcnConfig {
             line_rate_gbps: 25.0,
-            min_rate_gbps: 0.1,
-            g: 1.0 / 16.0,
-            alpha_timer: Dur::micros(55),
-            increase_timer: Dur::micros(300),
-            byte_counter: 10 * 1024 * 1024,
-            rai_gbps: 0.5,
-            rhai_gbps: 2.5,
-            f_threshold: 5,
-            cnp_interval: Dur::micros(50),
         }
     }
 }
@@ -128,8 +121,8 @@ impl DcqcnRp {
         self.cnp_count += 1;
         self.last_cnp = Some(now);
         self.target = self.rate;
-        self.rate = (self.rate * (1.0 - self.alpha / 2.0)).max(self.cfg.min_rate_gbps);
-        self.alpha = ((1.0 - self.cfg.g) * self.alpha + self.cfg.g).min(1.0);
+        self.rate = (self.rate * (1.0 - self.alpha / 2.0)).max(MIN_RATE_GBPS);
+        self.alpha = ((1.0 - G) * self.alpha + G).min(1.0);
         self.t_stage = 0;
         self.b_stage = 0;
         self.bytes_since_stage = 0;
@@ -150,10 +143,10 @@ impl DcqcnRp {
     /// single mis-ordered CNP stall a QP forever or burst past the line.
     fn check_bounds(&self) {
         invariant!(
-            self.rate >= self.cfg.min_rate_gbps && self.rate <= self.cfg.line_rate_gbps,
+            self.rate >= MIN_RATE_GBPS && self.rate <= self.cfg.line_rate_gbps,
             "DCQCN rate {} outside [{}, {}]",
             self.rate,
-            self.cfg.min_rate_gbps,
+            MIN_RATE_GBPS,
             self.cfg.line_rate_gbps
         );
         invariant!(
@@ -162,10 +155,10 @@ impl DcqcnRp {
             self.alpha
         );
         invariant!(
-            self.target >= self.cfg.min_rate_gbps && self.target <= self.cfg.line_rate_gbps,
+            self.target >= MIN_RATE_GBPS && self.target <= self.cfg.line_rate_gbps,
             "DCQCN target {} outside [{}, {}]",
             self.target,
-            self.cfg.min_rate_gbps,
+            MIN_RATE_GBPS,
             self.cfg.line_rate_gbps
         );
     }
@@ -173,28 +166,28 @@ impl DcqcnRp {
     /// Account transmitted bytes (drives the byte-counter stage).
     pub fn on_bytes_sent(&mut self, now: Time, bytes: u64) {
         self.bytes_since_stage += bytes;
-        if self.bytes_since_stage >= self.cfg.byte_counter {
+        if self.bytes_since_stage >= BYTE_COUNTER {
             self.bytes_since_stage = 0;
             self.b_stage += 1;
             self.increase(now);
         }
     }
 
-    /// Periodic tick; call at least every `alpha_timer`. Handles alpha decay
+    /// Periodic tick; call at least every [`ALPHA_TIMER`]. Handles alpha decay
     /// and timer-driven rate increase.
     pub fn on_timer(&mut self, now: Time) {
         // Alpha decays when no CNP arrived within the alpha timer.
-        if now.since(self.last_alpha_update) >= self.cfg.alpha_timer {
+        if now.since(self.last_alpha_update) >= ALPHA_TIMER {
             let quiet = match self.last_cnp {
-                Some(t) => now.since(t) >= self.cfg.alpha_timer,
+                Some(t) => now.since(t) >= ALPHA_TIMER,
                 None => true,
             };
             if quiet {
-                self.alpha *= 1.0 - self.cfg.g;
+                self.alpha *= 1.0 - G;
             }
             self.last_alpha_update = now;
         }
-        if now.since(self.last_increase) >= self.cfg.increase_timer {
+        if now.since(self.last_increase) >= INCREASE_TIMER {
             self.last_increase = now;
             self.t_stage += 1;
             self.increase(now);
@@ -205,18 +198,18 @@ impl DcqcnRp {
     /// One increase step; the stage counts select the phase.
     fn increase(&mut self, _now: Time) {
         let stage = self.t_stage.max(self.b_stage);
-        if stage < self.cfg.f_threshold {
+        if stage < F_THRESHOLD {
             // Fast recovery: halve the distance to target.
             self.rate = (self.rate + self.target) / 2.0;
-        } else if self.t_stage >= self.cfg.f_threshold && self.b_stage >= self.cfg.f_threshold {
+        } else if self.t_stage >= F_THRESHOLD && self.b_stage >= F_THRESHOLD {
             // Hyper increase.
-            let i = (self.t_stage.min(self.b_stage) - self.cfg.f_threshold + 1) as f64;
-            self.target += i * self.cfg.rhai_gbps;
+            let i = (self.t_stage.min(self.b_stage) - F_THRESHOLD + 1) as f64;
+            self.target += i * RHAI_GBPS;
             self.target = self.target.min(self.cfg.line_rate_gbps);
             self.rate = (self.rate + self.target) / 2.0;
         } else {
             // Additive increase.
-            self.target += self.cfg.rai_gbps;
+            self.target += RAI_GBPS;
             self.target = self.target.min(self.cfg.line_rate_gbps);
             self.rate = (self.rate + self.target) / 2.0;
         }
@@ -233,9 +226,9 @@ pub struct DcqcnNp {
 
 impl DcqcnNp {
     /// An ECN-marked packet arrived; should a CNP be emitted now?
-    pub fn should_send_cnp(&mut self, now: Time, cfg: &DcqcnConfig) -> bool {
+    pub fn should_send_cnp(&mut self, now: Time) -> bool {
         match self.last_cnp_sent {
-            Some(t) if now.since(t) < cfg.cnp_interval => false,
+            Some(t) if now.since(t) < CNP_INTERVAL => false,
             _ => {
                 self.last_cnp_sent = Some(now);
                 true
@@ -275,7 +268,7 @@ mod tests {
         for i in 0..100 {
             rp.on_cnp(Time(i * 1000));
         }
-        assert!(rp.rate_gbps() >= cfg().min_rate_gbps);
+        assert!(rp.rate_gbps() >= MIN_RATE_GBPS);
         assert!(rp.rate_gbps() < 0.2);
     }
 
@@ -338,20 +331,20 @@ mod tests {
     #[test]
     fn np_paces_cnps() {
         let mut np = DcqcnNp::default();
-        let c = cfg();
-        assert!(np.should_send_cnp(Time(0), &c));
-        assert!(!np.should_send_cnp(Time(10_000), &c), "within 50us window");
-        assert!(np.should_send_cnp(Time(51_000), &c));
+        assert!(np.should_send_cnp(Time(0)));
+        assert!(!np.should_send_cnp(Time(10_000)), "within 50us window");
+        assert!(np.should_send_cnp(Time(51_000)));
     }
 
     #[test]
     #[should_panic(expected = "DCQCN rate")]
     fn invariant_rejects_rate_outside_envelope() {
-        // A nonsensical config (min above line) makes the CNP cut clamp
-        // the rate above the line: the bounds checker must catch it.
-        let mut c = cfg();
-        c.min_rate_gbps = c.line_rate_gbps * 2.0;
-        let mut rp = DcqcnRp::new(c);
+        // A nonsensical config (line below the minimum rate) makes the
+        // CNP cut clamp the rate above the line: the bounds checker must
+        // catch it.
+        let mut rp = DcqcnRp::new(DcqcnConfig {
+            line_rate_gbps: MIN_RATE_GBPS / 2.0,
+        });
         rp.on_cnp(Time(0));
     }
 }

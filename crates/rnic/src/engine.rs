@@ -8,7 +8,7 @@
 //! The injector takes one MTU segment at a time from the head message of
 //! each active QP, paced per-QP by DCQCN (`next_allowed`), and hands it to
 //! the host's fabric port. The port's staging queue is bounded
-//! (`inject_limit_bytes`); when full, the injector parks and re-arms on the
+//! (`INJECT_LIMIT_BYTES`); when full, the injector parks and re-arms on the
 //! port's drain hook. This is what makes a huge WR occupy the pipe (the
 //! head-of-line blocking the paper's flow control fragments away) while
 //! still letting many QPs interleave at packet granularity.
@@ -38,10 +38,28 @@ use xrdma_telemetry::{span_mark, tele, SpanToken};
 
 use crate::config::{PageKind, RnicConfig};
 use crate::cq::{CompletionQueue, Cqe, CqeOpcode, CqeStatus};
-use crate::dcqcn::DcqcnRp;
+use crate::dcqcn::{DcqcnRp, ALPHA_TIMER};
 use crate::mem::{AccessFlags, MemTable, Mr, Pd};
 use crate::qp::{PendingAtomic, PendingRead, Qp, QpCaps, RespJob, RxMsg, Srq, TxMsg, UnackedMsg};
 use crate::verbs::{Payload, Qpn, SendOp, SendWr, VerbsError};
+
+// NIC-only costs (doorbell + WQE fetch + DMA setup; CQE generation on
+// receive). Host software cost lives in the stacks above (profile
+// per_send/per_recv, XrdmaConfig cpu_send/cpu_recv), so one-sided
+// operations — which bypass the remote host CPU — are correspondingly
+// cheap (§II-A).
+/// Fixed cost to start processing a send WQE (doorbell + fetch + DMA
+/// setup).
+const WQE_PROCESS: Dur = Dur::nanos(450);
+/// Receive-side processing before an ACK/CQE is produced.
+const RX_PROCESS: Dur = Dur::nanos(550);
+/// Number of MR translation entries cached on-NIC (MPT/MTT model).
+const MR_CACHE_ENTRIES: usize = 2048;
+/// Max in-flight (unacknowledged) messages per QP.
+const MAX_INFLIGHT_MSGS: usize = 128;
+/// NIC egress staging limit in bytes: the injector stops handing packets
+/// to the port above this (bounds sender-side HoL blocking).
+const INJECT_LIMIT_BYTES: u64 = 256 * 1024;
 
 /// Verdict of an installed packet filter (the analysis framework's fault
 /// injector, §VI-C "Emulate Fault").
@@ -205,8 +223,6 @@ pub struct Rnic {
     ctx_fetch_free: Cell<Time>,
     stats: RefCell<RnicStats>,
     alive: Cell<bool>,
-    /// Host uplink pause state per priority (observability).
-    paused_prios: RefCell<[bool; 8]>,
     /// Non-RDMA traffic handler (the TCP model registers here).
     alt_sink: RefCell<Option<Box<dyn Fn(Packet)>>>,
     /// Receive-side fault-injection filter (Linux netfilter does not work
@@ -232,7 +248,7 @@ impl Rnic {
             node,
             fabric: RefCell::new(None),
             qp_cache: RefCell::new(TouchCache::new(cfg.qp_cache_entries)),
-            mr_cache: RefCell::new(TouchCache::new(cfg.mr_cache_entries)),
+            mr_cache: RefCell::new(TouchCache::new(MR_CACHE_ENTRIES)),
             ctx_fetch_free: Cell::new(Time::ZERO),
             cfg,
             port: RefCell::new(None),
@@ -247,7 +263,6 @@ impl Rnic {
             dcqcn_timer: RefCell::new(None),
             stats: RefCell::new(RnicStats::default()),
             alive: Cell::new(true),
-            paused_prios: RefCell::new([false; 8]),
             alt_sink: RefCell::new(None),
             filter: RefCell::new(None),
             filtered_drops: Cell::new(0),
@@ -302,16 +317,6 @@ impl Rnic {
     pub fn set_filter(&self, f: impl Fn(&Packet) -> FilterVerdict + 'static) {
         // xrdma-lint: allow(hot-path-alloc) -- filter installed once at setup
         *self.filter.borrow_mut() = Some(Box::new(f));
-    }
-
-    /// Remove the packet filter.
-    pub fn clear_filter(&self) {
-        *self.filter.borrow_mut() = None;
-    }
-
-    /// Host uplink PFC pause state (observability; XR-Stat exports it).
-    pub fn is_prio_paused(&self, prio: u8) -> bool {
-        self.paused_prios.borrow()[prio as usize]
     }
 
     pub fn node(&self) -> NodeId {
@@ -586,11 +591,10 @@ impl Rnic {
             }
 
             // Port backpressure.
-            if self.port().total_queued() >= self.cfg.inject_limit_bytes {
+            if self.port().total_queued() >= INJECT_LIMIT_BYTES {
                 let me = self.clone();
                 self.injector.borrow_mut().parked_on_port = true;
-                let limit = self.cfg.inject_limit_bytes;
-                self.port().arm_drain_hook(limit / 2, move || {
+                self.port().arm_drain_hook(INJECT_LIMIT_BYTES / 2, move || {
                     me.injector.borrow_mut().parked_on_port = false;
                     me.arm_kick(Time::ZERO);
                 });
@@ -653,8 +657,7 @@ impl Rnic {
     }
 
     fn window_room(&self, tx: &crate::qp::TxState) -> bool {
-        tx.unacked.len() + tx.pending_reads.len() + tx.pending_atomics.len()
-            < self.cfg.max_inflight_msgs
+        tx.unacked.len() + tx.pending_reads.len() + tx.pending_atomics.len() < MAX_INFLIGHT_MSGS
     }
 
     /// Charge one QP-context fetch against the shared ICM/PCIe engine and
@@ -689,7 +692,6 @@ impl Rnic {
         let mut pipeline = Dur::ZERO;
         {
             let hit = self.qp_cache.borrow_mut().touch(qp.qpn.0);
-            qp.note_ctx_cache(hit);
             let mut st = self.stats.borrow_mut();
             if hit {
                 st.qp_cache_hits += 1;
@@ -761,7 +763,7 @@ impl Rnic {
         let mut extra = Dur::ZERO;
         if !msg.started {
             msg.started = true;
-            extra += self.cfg.wqe_process;
+            extra += WQE_PROCESS;
             // Retransmits reset `started`, so a replay re-enters the WQE
             // stage — the span's stage residencies accumulate per stage.
             span_mark!(msg.wr.span, Wqe);
@@ -1081,12 +1083,10 @@ impl Rnic {
             st.data_bytes_tx += seg.wire_payload as u64;
         }
         // DCQCN byte accounting + pacing.
-        let rate = if self.cfg.dcqcn_enabled {
+        let rate = {
             let mut rp = qp.rp.borrow_mut();
             rp.on_bytes_sent(now, wire_size as u64);
             rp.rate_gbps()
-        } else {
-            qp.rp.borrow().rate_gbps()
         };
         let delay = pipeline + seg.extra;
         let pace = xrdma_sim::time::wire_time(wire_size as u64, rate);
@@ -1478,7 +1478,7 @@ impl Rnic {
                 .borrow()
                 .as_ref()
                 .expect("just installed")
-                .arm_in(self.cfg.dcqcn.alpha_timer);
+                .arm_in(ALPHA_TIMER);
         }
     }
 
@@ -1520,7 +1520,7 @@ impl Rnic {
                     .borrow()
                     .as_ref()
                     .expect("tick fired from this timer")
-                    .arm_in(self.cfg.dcqcn.alpha_timer);
+                    .arm_in(ALPHA_TIMER);
             }
         }
         // Rate changes may unblock pacing earlier than previously computed;
@@ -1539,7 +1539,6 @@ impl Rnic {
     fn rx_process(self: &Rc<Self>, qp: Rc<Qp>, f: impl FnOnce(&Rc<Rnic>, &Rc<Qp>) + 'static) {
         let miss = {
             let hit = self.qp_cache.borrow_mut().touch(qp.qpn.0);
-            qp.note_ctx_cache(hit);
             let mut st = self.stats.borrow_mut();
             if hit {
                 st.qp_cache_hits += 1;
@@ -1550,7 +1549,7 @@ impl Rnic {
                 self.charge_ctx_fetch()
             }
         };
-        let at = (self.world.now() + self.cfg.rx_process + miss).max(qp.rx_ready.get());
+        let at = (self.world.now() + RX_PROCESS + miss).max(qp.rx_ready.get());
         qp.rx_ready.set(at);
         let me = self.clone();
         self.world.schedule_at(at, move || {
@@ -2263,11 +2262,10 @@ impl NicSink for Rnic {
         me.deliver_filtered(pkt);
     }
 
-    fn pfc_pause(&self, prio: u8, paused: bool) {
+    fn pfc_pause(&self, _prio: u8, paused: bool) {
         if paused {
             self.stats.borrow_mut().pfc_pauses_seen += 1;
         }
-        self.paused_prios.borrow_mut()[prio as usize] = paused;
     }
 }
 
@@ -2301,10 +2299,7 @@ impl Rnic {
         // DCQCN notification point: an ECN-marked data packet triggers a
         // CNP back to the sender (paced per QP).
         if pkt.ecn_marked && bth.is_data() {
-            let fire = qp
-                .np
-                .borrow_mut()
-                .should_send_cnp(me.world.now(), &me.cfg.dcqcn);
+            let fire = qp.np.borrow_mut().should_send_cnp(me.world.now());
             if fire {
                 if let Some((_, remote_qpn)) = qp.remote() {
                     me.stats.borrow_mut().cnps_sent += 1;
@@ -2385,10 +2380,8 @@ impl Rnic {
             } => me.handle_atomic_resp(&qp, msg_seq, old_value),
             Bth::Cnp { .. } => {
                 me.stats.borrow_mut().cnps_received += 1;
-                if me.cfg.dcqcn_enabled {
-                    qp.rp.borrow_mut().on_cnp(me.world.now());
-                    me.mark_congested(qp.qpn);
-                }
+                qp.rp.borrow_mut().on_cnp(me.world.now());
+                me.mark_congested(qp.qpn);
             }
         }
     }

@@ -422,7 +422,6 @@ impl<M: Clone> QpLane<M> {
         last: bool,
         msg: Option<M>,
         ecn: bool,
-        dcqcn: &DcqcnConfig,
     ) -> RxData<M> {
         let mut out = RxData::default();
         if psn == self.expected_psn {
@@ -447,7 +446,7 @@ impl<M: Clone> QpLane<M> {
                 out.nak = Some(self.expected_psn);
             }
         }
-        if ecn && self.np.should_send_cnp(xrdma_sim::Time(now_ns), dcqcn) {
+        if ecn && self.np.should_send_cnp(xrdma_sim::Time(now_ns)) {
             out.cnp = true;
         }
         out
@@ -562,9 +561,7 @@ mod tests {
                 Pump::WaitUntil(t) => *now = t,
                 Pump::Tx(bth) => {
                     if let LaneBthKind::Data { psn, last, msg, .. } = bth.kind {
-                        let rx =
-                            b.qp(bq)
-                                .on_data(*now, psn, last, msg, false, &DcqcnConfig::default());
+                        let rx = b.qp(bq).on_data(*now, psn, last, msg, false);
                         if let Some(m) = rx.deliver {
                             delivered.push(m);
                         }
@@ -625,18 +622,14 @@ mod tests {
         let LaneBthKind::Data { psn, last, msg, .. } = pkts[1].kind.clone() else {
             panic!("data")
         };
-        let rx = b
-            .qp(bq)
-            .on_data(now, psn, last, msg, false, &DcqcnConfig::default());
+        let rx = b.qp(bq).on_data(now, psn, last, msg, false);
         assert_eq!(rx.nak, Some(0));
         assert!(rx.deliver.is_none() && rx.ack.is_none());
         // Same gap again (psn 2): NAK suppressed.
         let LaneBthKind::Data { psn, last, msg, .. } = pkts[2].kind.clone() else {
             panic!("data")
         };
-        let rx = b
-            .qp(bq)
-            .on_data(now, psn, last, msg, false, &DcqcnConfig::default());
+        let rx = b.qp(bq).on_data(now, psn, last, msg, false);
         assert_eq!(rx.nak, None, "one NAK per gap");
         // Sender rewinds to 0 and the full retry completes the message.
         a.qp(aq).on_nak(0);
@@ -706,10 +699,9 @@ mod tests {
     #[test]
     fn ecn_packets_emit_paced_cnps_and_cut_rate() {
         let (mut a, aq, mut b, bq) = pair();
-        let cfg = DcqcnConfig::default();
-        let rx = b.qp(bq).on_data(0, 0, true, Some("x"), true, &cfg);
+        let rx = b.qp(bq).on_data(0, 0, true, Some("x"), true);
         assert!(rx.cnp, "first ECN mark emits a CNP");
-        let rx = b.qp(bq).on_data(1_000, 1, true, Some("y"), true, &cfg);
+        let rx = b.qp(bq).on_data(1_000, 1, true, Some("y"), true);
         assert!(!rx.cnp, "CNP paced within the interval");
         let line = a.qp(aq).rp.rate_gbps();
         a.qp(aq).on_cnp(0);

@@ -243,12 +243,6 @@ pub struct Qp {
     pub rnr_events: Cell<u64>,
     /// Cumulative retransmissions triggered.
     pub retransmissions: Cell<u64>,
-    /// Per-QP QP-context cache accounting, charged by the engine at the
-    /// TX (WQE fetch) and RX (packet steering) touch points. A connection
-    /// whose miss share climbs is being crowded out of RNIC SRAM — the
-    /// signal the mux's bounded pool exists to prevent.
-    pub ctx_cache_hits: Cell<u64>,
-    pub ctx_cache_misses: Cell<u64>,
 }
 
 impl Qp {
@@ -282,29 +276,7 @@ impl Qp {
             conn_token: Cell::new(0),
             rnr_events: Cell::new(0),
             retransmissions: Cell::new(0),
-            ctx_cache_hits: Cell::new(0),
-            ctx_cache_misses: Cell::new(0),
         })
-    }
-
-    /// Record one QP-context cache lookup against this QP.
-    pub(crate) fn note_ctx_cache(&self, hit: bool) {
-        if hit {
-            self.ctx_cache_hits.set(self.ctx_cache_hits.get() + 1);
-        } else {
-            self.ctx_cache_misses.set(self.ctx_cache_misses.get() + 1);
-        }
-    }
-
-    /// Fraction of this QP's context lookups that missed RNIC SRAM
-    /// (`None` before any traffic).
-    pub fn ctx_cache_miss_rate(&self) -> Option<f64> {
-        let h = self.ctx_cache_hits.get();
-        let m = self.ctx_cache_misses.get();
-        if h + m == 0 {
-            return None;
-        }
-        Some(m as f64 / (h + m) as f64)
     }
 
     pub fn state(&self) -> QpState {
@@ -392,10 +364,6 @@ impl Qp {
         self.next_allowed.set(Time::ZERO);
         self.rx_ready.set(Time::ZERO);
         self.conn_token.set(0);
-        // Context-cache accounting belongs to the connection, not the QP
-        // object: a recycled QP starts its next life with a clean slate.
-        self.ctx_cache_hits.set(0);
-        self.ctx_cache_misses.set(0);
     }
 
     /// Agree on the connection token (set identically on both endpoints by
@@ -471,17 +439,6 @@ impl Qp {
         } else {
             self.rx.borrow().rq.len()
         }
-    }
-
-    /// Number of send WRs that have not completed yet (posted + in flight).
-    pub fn send_backlog(&self) -> usize {
-        let tx = self.tx.borrow();
-        tx.sq.len()
-            + tx.retx.len()
-            + tx.unacked.len()
-            + usize::from(tx.cur.is_some())
-            + tx.pending_reads.len()
-            + tx.pending_atomics.len()
     }
 }
 

@@ -4,13 +4,13 @@
 //!
 //! Everything here is generic over the stored closure types `O`
 //! (one-shot) and `M` (re-armable timer), so the same calendar code —
-//! timer wheel, legacy heap, and the per-lane sharded merge — executes
-//! identically whether the callbacks capture `Rc`s on one thread or are
-//! `Send` closures running inside a shard lane. The structure is a plain
-//! `&mut self` state machine: virtual-clock and sequence-number policy
-//! stay with the owner (`World` keeps them in `Cell`s, a lane keeps them
-//! as plain fields), which is what lets lane state satisfy the S1
-//! `non-send-shard-state` lint with no interior mutability at all.
+//! timer wheel and legacy heap — executes identically whether the
+//! callbacks capture `Rc`s on one thread or are `Send` closures running
+//! inside a shard lane. The structure is a plain `&mut self` state
+//! machine: virtual-clock and sequence-number policy stay with the owner
+//! (`World` keeps them in `Cell`s, a lane keeps them as plain fields),
+//! which is what lets lane state satisfy the S1 `non-send-shard-state`
+//! lint with no interior mutability at all.
 //!
 //! # Calendar layout (DESIGN.md §3)
 //!
@@ -35,11 +35,6 @@
 //! rotation ahead of the cursor (re-established by the migration loop each
 //! time the cursor moves). Callbacks therefore fire in exactly the order
 //! the old single-heap calendar produced, byte-for-byte.
-//!
-//! [`Kernel::Sharded`] splits the key stream across `lanes` independent
-//! wheels (assignment by `seq % lanes`) and pops the argmin by
-//! `(at, seq)` — provably the same global order, exercising the
-//! cross-lane merge rule on the full `Rc` stack so goldens validate it.
 //!
 //! Cancellation never searches the calendar: each slab slot carries a
 //! generation counter, a key is live iff its generation matches, and stale
@@ -89,27 +84,6 @@ pub enum Kernel {
     /// tests can prove both kernels produce identical event orders and so
     /// `simperf` can measure the speedup against a live baseline.
     Legacy,
-    /// `lanes` independent timer wheels (assignment by `seq % lanes`)
-    /// popped in global `(at, seq)` order — the serial validation mode for
-    /// the sharded lane engine's merge rule. Same event order as `Wheel`,
-    /// byte for byte, on any workload; `lanes == 1` is exactly `Wheel`.
-    Sharded { lanes: usize },
-}
-
-impl Kernel {
-    /// The kernel [`crate::World::new`] boots: `Wheel`, unless the
-    /// `XRDMA_SHARDS` environment variable names a lane count > 1 — the
-    /// hook `scripts/ci.sh` uses to run the whole tier-1 suite on the
-    /// sharded calendar (`XRDMA_SHARDS=4 cargo test`).
-    pub fn from_env() -> Kernel {
-        match std::env::var("XRDMA_SHARDS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 1 => Kernel::Sharded { lanes: n },
-                _ => Kernel::Wheel,
-            },
-            Err(_) => Kernel::Wheel,
-        }
-    }
 }
 
 /// A calendar entry: everything needed to order and validate one firing.
@@ -266,88 +240,9 @@ impl LegacyCal {
     }
 }
 
-/// Per-lane wheels merged in global `(at, seq)` order (see
-/// [`Kernel::Sharded`]). Each key lives in exactly one lane wheel, the
-/// lane minima are each correct by the wheel invariant, and `(at, seq)`
-/// is a total order — so the argmin over lanes is the global minimum and
-/// the pop sequence is identical to a single wheel's. This is the merge
-/// obligation of DESIGN.md §3.15 running serially under the full stack.
-///
-/// Each lane's head key is cached with lazy invalidation: a pop dirties
-/// only the popped lane, so the argmin compares `lanes` plain 24-byte
-/// keys instead of running `lanes` wheel peeks (each a potential
-/// cursor-advance/refill) per pop. Cancellation never invalidates a
-/// cached head — cancelled keys stay in the calendar and are discarded
-/// as stale by [`Sched`] when popped, so the cache always mirrors what
-/// `peek_min` on the lane would return.
-struct ShardedCal {
-    lanes: Vec<WheelCal>,
-    /// Cached `lanes[i].peek_min()`, valid iff `!dirty[i]`.
-    heads: Vec<Option<Key>>,
-    /// True when `heads[i]` must be re-peeked before use.
-    dirty: Vec<bool>,
-}
-
-impl ShardedCal {
-    fn new(lanes: usize) -> ShardedCal {
-        let n = lanes.max(1);
-        ShardedCal {
-            lanes: (0..n).map(|_| WheelCal::new()).collect(),
-            heads: vec![None; n],
-            dirty: vec![false; n],
-        }
-    }
-
-    fn push(&mut self, key: Key) {
-        let n = self.lanes.len() as u64;
-        let i = (key.seq % n) as usize;
-        self.lanes[i].push(key);
-        // A clean cache stays clean: pushing can only lower the lane
-        // minimum, and `(at, seq)` has no duplicates.
-        if !self.dirty[i] {
-            match self.heads[i] {
-                Some(h) if h < key => {}
-                _ => self.heads[i] = Some(key),
-            }
-        }
-    }
-
-    /// Lane index holding the globally minimal `(at, seq)` key, if any.
-    /// Refreshes dirty heads on the way; clean lanes cost one key compare.
-    fn min_lane(&mut self) -> Option<usize> {
-        let mut best: Option<(Key, usize)> = None;
-        for i in 0..self.lanes.len() {
-            if self.dirty[i] {
-                self.heads[i] = self.lanes[i].peek_min();
-                self.dirty[i] = false;
-            }
-            if let Some(k) = self.heads[i] {
-                // Strict `<` keeps the scan order irrelevant: (at, seq) is
-                // a total order with no duplicates across lanes.
-                if best.is_none_or(|(b, _)| k < b) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
-    fn pop_min(&mut self) -> Option<Key> {
-        let i = self.min_lane()?;
-        self.dirty[i] = true;
-        self.lanes[i].pop_min()
-    }
-
-    fn peek_min(&mut self) -> Option<Key> {
-        let i = self.min_lane()?;
-        self.heads[i]
-    }
-}
-
 enum Calendar {
     Wheel(WheelCal),
     Legacy(LegacyCal),
-    Sharded(ShardedCal),
 }
 
 impl Calendar {
@@ -355,7 +250,6 @@ impl Calendar {
         match self {
             Calendar::Wheel(w) => w.push(key),
             Calendar::Legacy(l) => l.heap.push(Reverse(key)),
-            Calendar::Sharded(s) => s.push(key),
         }
     }
 
@@ -363,7 +257,6 @@ impl Calendar {
         match self {
             Calendar::Wheel(w) => w.pop_min(),
             Calendar::Legacy(l) => l.pop_min(),
-            Calendar::Sharded(s) => s.pop_min(),
         }
     }
 
@@ -371,7 +264,6 @@ impl Calendar {
         match self {
             Calendar::Wheel(w) => w.peek_min(),
             Calendar::Legacy(l) => l.heap.peek().map(|Reverse(k)| *k),
-            Calendar::Sharded(s) => s.peek_min(),
         }
     }
 
@@ -438,7 +330,6 @@ impl<O, M> Sched<O, M> {
             calendar: match kernel {
                 Kernel::Wheel => Calendar::Wheel(WheelCal::new()),
                 Kernel::Legacy => Calendar::Legacy(LegacyCal::new()),
-                Kernel::Sharded { lanes } => Calendar::Sharded(ShardedCal::new(lanes)),
             },
             events: Vec::new(),
             free_events: Vec::new(),

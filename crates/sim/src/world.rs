@@ -3,10 +3,9 @@
 //! O(1) generation-counter cancellation, and a re-armable [`Timer`] API
 //! that boxes its closure exactly once.
 //!
-//! The calendar mechanics (timer wheel, legacy heap, sharded lane merge)
-//! live in `sched.rs` and are shared verbatim with the parallel
-//! [`crate::shard::ShardWorld`] lane engine; this module owns only the
-//! serial-world policy: the virtual clock, the global sequence counter,
+//! The calendar mechanics (timer wheel, legacy heap) live in `sched.rs`
+//! and are shared verbatim with the parallel [`crate::shard::ShardWorld`]
+//! lane engine; this module owns only the serial-world policy: the virtual clock, the global sequence counter,
 //! and the `Rc<World>` callback idiom. A `World` is deliberately
 //! `!Send`/`!Sync` — parallelism happens across worlds (or across
 //! [`crate::shard`] lanes), never inside one.
@@ -50,11 +49,10 @@ pub struct World {
 }
 
 impl World {
-    /// Create a fresh world at `t = 0` on the default kernel: the timer
-    /// wheel, or the sharded calendar when `XRDMA_SHARDS` (> 1) is set —
-    /// see [`Kernel::from_env`].
+    /// Create a fresh world at `t = 0` on the production kernel, the
+    /// timer wheel.
     pub fn new() -> Rc<World> {
-        Self::with_kernel(Kernel::from_env())
+        Self::with_kernel(Kernel::Wheel)
     }
 
     /// Create a fresh world on an explicit [`Kernel`] (benchmarks and
@@ -562,10 +560,8 @@ mod tests {
     }
 
     /// Differential determinism: a randomized schedule/cancel/timer storm
-    /// must produce an identical execution trace on all kernels, the
-    /// sharded lane calendar at several widths included. This is the
-    /// executable form of the FIFO-at-equal-instant proof obligation and
-    /// of the sharded merge rule (DESIGN.md §3.15).
+    /// must produce an identical execution trace on both kernels. This is
+    /// the executable form of the FIFO-at-equal-instant proof obligation.
     #[test]
     fn all_kernels_agree() {
         fn storm(kernel: Kernel, seed: u64) -> (Vec<(u64, u32)>, u64, u64) {
@@ -610,10 +606,6 @@ mod tests {
             let a = storm(Kernel::Wheel, seed);
             let b = storm(Kernel::Legacy, seed);
             assert_eq!(a, b, "wheel vs legacy diverged for seed {seed}");
-            for lanes in [1usize, 2, 4, 8] {
-                let c = storm(Kernel::Sharded { lanes }, seed);
-                assert_eq!(a, c, "sharded({lanes}) diverged for seed {seed}");
-            }
             assert!(a.1 > 1_000, "storm did real work: {} events", a.1);
         }
     }
@@ -646,21 +638,5 @@ mod tests {
             "arena grew to {} slots for 10 concurrent events",
             w.sched.borrow().event_arena_len()
         );
-    }
-
-    #[test]
-    fn sharded_kernel_from_env_parses() {
-        assert_eq!(Kernel::default(), Kernel::Wheel);
-        // from_env reads the process environment; exercise the parse paths
-        // through with_kernel instead of mutating global env in tests.
-        let w = World::with_kernel(Kernel::Sharded { lanes: 4 });
-        let hits = Rc::new(Cell::new(0u32));
-        for i in 0..32u64 {
-            let h = hits.clone();
-            w.schedule_at(Time(10 + i % 3), move || h.set(h.get() + 1));
-        }
-        w.run();
-        assert_eq!(hits.get(), 32);
-        assert_eq!(w.events_executed(), 32);
     }
 }

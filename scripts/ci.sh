@@ -17,27 +17,20 @@
 #                the runtime invariant checkers)
 #              - faults + telemetry + debug_invariants (fault injector
 #                live: chaos suite + fault-plan property tests)
-#              - XRDMA_SHARDS=4: the default leg rerun with every World
-#                on the sharded validation kernel (DESIGN.md §3.15), so
-#                the whole tier-1 suite doubles as a differential test
-#                of the per-lane calendar + (Time, seq) merge rule
 #              - threaded-engine leg: the sharding battery (all features)
 #                run explicitly — the real middleware stack on threaded
 #                ShardWorld lanes at shards {1,2,4,8}, byte-identical
-#                digests/telemetry/span JSONL, loss-chaos recovery, and
-#                the chaos golden reproduced read-only
+#                digests/telemetry/span JSONL, loss-chaos recovery
 #   simperf  smoke run of the event-kernel throughput race (wheel vs
 #            legacy calendar) — results land in a temp dir so the
 #            committed full-scale results/simperf.json stays untouched
-#   msgrate  smoke run of the CQ-batching/doorbell-coalescing message-rate
-#            sweep (batching on vs batch=1), same temp-dir discipline
-#   qpscale  smoke run of the connection-multiplexing sweep (ChannelMux
-#            pool vs 1 QP per channel), same temp-dir discipline; the
-#            committed full-scale results/qpscale.json stays untouched
-#   latbreak smoke run of the per-stage latency breakdown sweep (causal
-#            spans, DESIGN.md §8) — asserts stage sums telescope to the
-#            end-to-end sum; needs the telemetry feature, temp-dir
-#            discipline as above
+#   rederive full-size runs of msgrate (CQ batching), latbreak (per-stage
+#            latency breakdown, telemetry feature), chaos_recovery (fault
+#            injector, faults feature) and qpscale (connection
+#            multiplexing) into a temp dir; each JSON must be
+#            byte-identical to its committed results/ copy, so CI
+#            re-derives those numbers instead of only checking that
+#            nobody edited the file
 #   golden   the test legs must not have rewritten any committed golden
 #            file (catches an XRDMA_UPDATE_GOLDEN leak or a determinism
 #            break that slipped past the byte-compare tests)
@@ -47,6 +40,16 @@ cd "$(dirname "$0")/.."
 run() {
     echo "==> $*"
     "$@"
+}
+
+# rederive BIN [cargo args...]: full-size run of a bench bin into a temp
+# dir, then byte-compare its JSON against the committed copy.
+rederive() {
+    local bin=$1 dir
+    shift
+    dir="$(mktemp -d)"
+    run env XRDMA_RESULTS_DIR="$dir" cargo run -q --release -p xrdma-bench "$@" --bin "$bin"
+    run cmp "$dir/$bin.json" "results/$bin.json"
 }
 
 run cargo build --release --workspace
@@ -59,17 +62,14 @@ run cargo test -q --workspace
 run cargo test -q --workspace --features xrdma-tests/telemetry
 run cargo test -q --workspace --features xrdma-tests/telemetry,xrdma-tests/debug_invariants
 run cargo test -q --workspace --features xrdma-tests/faults,xrdma-tests/telemetry,xrdma-tests/debug_invariants
-run env XRDMA_SHARDS=4 cargo test -q --workspace
 run cargo test -q -p xrdma-tests --test sharding \
     --features xrdma-tests/faults,xrdma-tests/telemetry,xrdma-tests/debug_invariants
 run env XRDMA_SIMPERF_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
     cargo run -q --release -p xrdma-bench --features xrdma-bench/faults --bin simperf
-run env XRDMA_MSGRATE_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
-    cargo run -q --release -p xrdma-bench --bin msgrate
-run env XRDMA_QPSCALE_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
-    cargo run -q --release -p xrdma-bench --bin qpscale
-run env XRDMA_LATBREAK_SMOKE=1 XRDMA_RESULTS_DIR="$(mktemp -d)" \
-    cargo run -q --release -p xrdma-bench --features xrdma-bench/telemetry --bin latbreak
-run git diff --exit-code -- tests/golden results/simperf.json results/msgrate.json results/qpscale.json results/lint.json results/latbreak.json
+rederive msgrate
+rederive latbreak --features xrdma-bench/telemetry
+rederive chaos_recovery --features xrdma-bench/faults
+rederive qpscale
+run git diff --exit-code -- tests/golden results/simperf.json results/msgrate.json results/qpscale.json results/lint.json results/latbreak.json results/chaos_recovery.json
 
 echo "==> ci.sh: all gates passed"

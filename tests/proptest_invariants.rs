@@ -404,7 +404,7 @@ mod fault_plan_liveness {
 mod more_invariants {
     use proptest::prelude::*;
     use xrdma_apps::workload::{LoadSchedule, Phase};
-    use xrdma_rnic::dcqcn::{DcqcnConfig, DcqcnRp};
+    use xrdma_rnic::dcqcn::{DcqcnConfig, DcqcnRp, MIN_RATE_GBPS};
     use xrdma_sim::{Dur, Time};
 
     proptest! {
@@ -424,7 +424,7 @@ mod more_invariants {
                     1 => rp.on_bytes_sent(t, step * 4096),
                     _ => rp.on_timer(t),
                 }
-                prop_assert!(rp.rate_gbps() >= cfg.min_rate_gbps - 1e-9);
+                prop_assert!(rp.rate_gbps() >= MIN_RATE_GBPS - 1e-9);
                 prop_assert!(rp.rate_gbps() <= cfg.line_rate_gbps + 1e-9);
                 prop_assert!((0.0..=1.0).contains(&rp.alpha()));
             }
