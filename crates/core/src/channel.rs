@@ -925,7 +925,6 @@ impl XrdmaChannel {
                 // out of the slot now (the slot is reposted immediately);
                 // sparse backing makes this cheap for size-only payloads.
                 let body_len = hdr.body_len;
-                self.stats.borrow_mut().small_msgs += 0; // counted at sender
                 let small_loc = if body_len > 0 {
                     // Stage into a private buffer so reposting can't race.
                     let staged = ctx.memcache().alloc(body_len.max(1)).ok();

@@ -21,6 +21,8 @@ use crate::{Rule, Violation};
 /// and is exempt. `cq.rs` is the shared-CQ drain and `channel.rs` the
 /// send/completion path of the middleware; `qpcache.rs` sits on the
 /// connect path and `mux.rs` on the per-frame logical-channel path.
+/// `mem.rs` holds the backed-MR byte store every staged message is
+/// written into and read back out of.
 pub const HOT_PATH_FILES: &[&str] = &[
     "port.rs",
     "switch.rs",
@@ -31,6 +33,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "channel.rs",
     "qpcache.rs",
     "mux.rs",
+    "mem.rs",
 ];
 
 /// Identifiers that name payload byte buffers; `.clone()` on one of these
